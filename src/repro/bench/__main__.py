@@ -19,7 +19,8 @@ Observability / CI flags:
 - ``--mem PATH`` runs the memory-ledger smoke experiment and writes the
   byte-deterministic ``repro.memory/1`` allocation report — a CI
   artifact next to the trace/profile bundles;
-- ``--update-baselines`` re-records the baseline files after an
+- ``--update-baselines`` re-records every committed baseline spec of
+  :data:`repro.observability.regression.BASELINE_KINDS` after an
   intentional performance or quality change;
 - ``--kernels`` runs the sort-vs-count kernel microbenchmarks
   (``--quick`` for the smaller CI smoke variant) and verifies both
@@ -126,42 +127,12 @@ def main(argv: list[str] | None = None) -> int:
         baseline_dir = (Path(args.baseline_dir) if args.baseline_dir
                         else regression.default_baseline_dir())
         if args.update_baselines:
-            baselines = regression.record_baselines(
-                baseline_dir, seed=args.seed,
-            )
-            for b in baselines:
-                print(f"recorded baseline {b.name} "
-                      f"(modeled {b.metrics.modeled_seconds:.4f}s, "
-                      f"Q={b.metrics.modularity:.4f})")
-            for sb in regression.record_service_baselines(baseline_dir):
-                stats = sb.expected["stats"]
-                print(f"recorded service baseline {sb.name} "
-                      f"(clock={stats['clock_units']} units, "
-                      f"{stats['counters']['queries_served']} queries)")
-            for mb in regression.record_metrics_baselines(baseline_dir):
-                n_fams = len(mb.expected["families"])
-                print(f"recorded metrics baseline {mb.name} "
-                      f"({mb.kind}, {n_fams} instrument families)")
-            for rb in regression.record_reorder_baselines(baseline_dir):
-                print(f"recorded reorder baseline {rb.name} "
-                      f"(graphs={','.join(rb.graphs)}, mode={rb.mode})")
-            for fb in regression.record_fleet_baselines(baseline_dir):
-                runs = fb.expected["runs"]
-                print(f"recorded fleet baseline {fb.name} "
-                      f"({'/'.join(sorted(runs))}, "
-                      f"invariant={fb.expected['invariant']})")
-            for tb in regression.record_reqtrace_baselines(baseline_dir):
-                widths = tb.expected["widths"]
-                print(f"recorded reqtrace baseline {tb.name} "
-                      f"({'/'.join(sorted(widths))}, "
-                      f"kept_match={tb.expected['kept_match']}, "
-                      f"det_invariant={tb.expected['det_keep_invariant']})")
-            for memb in regression.record_memory_baselines(
-                    baseline_dir, seed=args.seed):
-                logical = memb.expected["logical"]
-                print(f"recorded memory baseline {memb.name} "
-                      f"(graph={memb.graph}, clock={logical['clock']}, "
-                      f"peak={logical['peak_bytes']} B)")
+            for schema, kind in regression.BASELINE_KINDS.items():
+                for file_name, params in kind.specs:
+                    b = regression.record(
+                        baseline_dir, schema, file_name, params)
+                    label = " ".join(filter(None, (kind.label, "baseline")))
+                    print(f"recorded {label} {b.name} ({kind.summary(b)})")
         if args.trace_path:
             bundle = regression.run_trace(seed=args.seed)
             Path(args.trace_path).write_text(

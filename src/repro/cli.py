@@ -1151,7 +1151,15 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.input is None:
         parser.error("the following arguments are required: input")
+    try:
+        return _run(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args) -> int:
+    """Body of ``repro run``: load, detect, report."""
     graph = _load(args.input)
     config = LeidenConfig.variant(
         args.variant,

@@ -8,6 +8,7 @@ with ``pattern`` / ``real`` / ``integer`` fields and ``general`` /
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import TextIO, Union
 
@@ -29,21 +30,25 @@ def read_mtx(source: PathOrFile, *, symmetrize: bool = True) -> CSRGraph:
 
     Vertex ids in the file are 1-based (MatrixMarket convention) and are
     shifted to 0-based.  Rectangular matrices are rejected — a graph
-    adjacency matrix must be square.
+    adjacency matrix must be square.  A malformed line or a non-finite
+    weight raises :class:`GraphFormatError` naming the file and line.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            return _read_mtx_stream(fh, symmetrize=symmetrize)
-    return _read_mtx_stream(source, symmetrize=symmetrize)
+            return _read_mtx_stream(fh, str(source), symmetrize=symmetrize)
+    return _read_mtx_stream(source, getattr(source, "name", "<stream>"),
+                            symmetrize=symmetrize)
 
 
-def _read_mtx_stream(fh: TextIO, *, symmetrize: bool) -> CSRGraph:
+def _read_mtx_stream(fh: TextIO, where: str, *,
+                     symmetrize: bool) -> CSRGraph:
     header = fh.readline()
     if not header.startswith("%%MatrixMarket"):
-        raise GraphFormatError("missing %%MatrixMarket header")
+        raise GraphFormatError(f"{where}:1: missing %%MatrixMarket header")
     parts = header.strip().split()
     if len(parts) < 5:
-        raise GraphFormatError(f"malformed header: {header.strip()!r}")
+        raise GraphFormatError(f"{where}:1: malformed header: "
+                               f"{header.strip()!r}")
     _, obj, fmt, field, symmetry = parts[:5]
     if obj.lower() != "matrix" or fmt.lower() != "coordinate":
         raise GraphFormatError("only 'matrix coordinate' files are supported")
@@ -54,20 +59,22 @@ def _read_mtx_stream(fh: TextIO, *, symmetrize: bool) -> CSRGraph:
     if symmetry not in _VALID_SYMMETRY:
         raise GraphFormatError(f"unsupported symmetry {symmetry!r}")
 
-    # Skip comments, read the size line.
-    size_line = None
-    for line in fh:
-        text = line.strip()
-        if not text or text.startswith("%"):
-            continue
-        size_line = text
-        break
+    def content(lines):
+        for lineno, line in lines:
+            text = line.strip()
+            if text and not text.startswith("%"):
+                yield lineno, text
+
+    lines = content(enumerate(fh, start=2))
+    # The first content line is the size line.
+    lineno, size_line = next(lines, (None, None))
     if size_line is None:
-        raise GraphFormatError("missing size line")
-    dims = size_line.split()
-    if len(dims) != 3:
-        raise GraphFormatError(f"malformed size line: {size_line!r}")
-    rows, cols, nnz = (int(x) for x in dims)
+        raise GraphFormatError(f"{where}: missing size line")
+    try:
+        rows, cols, nnz = (int(x) for x in size_line.split())
+    except ValueError:
+        raise GraphFormatError(
+            f"{where}:{lineno}: malformed size line: {size_line!r}") from None
     if rows != cols:
         raise GraphFormatError("adjacency matrix must be square")
 
@@ -76,29 +83,31 @@ def _read_mtx_stream(fh: TextIO, *, symmetrize: bool) -> CSRGraph:
     dst = np.empty(nnz, dtype=VERTEX_DTYPE)
     wgt = np.ones(nnz, dtype=WEIGHT_DTYPE)
     count = 0
-    for line in fh:
-        text = line.strip()
-        if not text or text.startswith("%"):
-            continue
+    for lineno, text in lines:
         if count >= nnz:
-            raise GraphFormatError("more entries than declared nnz")
+            raise GraphFormatError(
+                f"{where}:{lineno}: more entries than declared nnz")
         parts = text.split()
-        if pattern:
-            if len(parts) < 2:
-                raise GraphFormatError(f"bad pattern entry: {text!r}")
-            u, v, w = int(parts[0]), int(parts[1]), 1.0
-        else:
-            if len(parts) < 3:
-                raise GraphFormatError(f"bad weighted entry: {text!r}")
-            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+        try:
+            u, v = int(parts[0]), int(parts[1])
+            w = 1.0 if pattern else float(parts[2])
+        except (ValueError, IndexError):
+            raise GraphFormatError(
+                f"{where}:{lineno}: bad {'pattern' if pattern else 'weighted'}"
+                f" entry: {text!r}") from None
+        if not math.isfinite(w):
+            raise GraphFormatError(
+                f"{where}:{lineno}: non-finite weight in entry {text!r}")
         if not (1 <= u <= rows and 1 <= v <= cols):
-            raise GraphFormatError(f"entry out of bounds: {text!r}")
+            raise GraphFormatError(
+                f"{where}:{lineno}: entry out of bounds: {text!r}")
         src[count] = u - 1
         dst[count] = v - 1
         wgt[count] = w
         count += 1
     if count != nnz:
-        raise GraphFormatError(f"declared {nnz} entries but found {count}")
+        raise GraphFormatError(
+            f"{where}: declared {nnz} entries but found {count}")
 
     # 'symmetric' files store one triangle; mirroring is exactly the
     # symmetrize step of the build pipeline.

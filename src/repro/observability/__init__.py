@@ -98,29 +98,32 @@ from repro.observability.tracer import (
 #: while the runtime imports :mod:`repro.observability.tracer` — eager
 #: package-level imports would form a cycle.)
 _REGRESSION_EXPORTS = frozenset({
+    "BASELINE_KINDS",
     "BASELINE_SCHEMA",
     "Baseline",
+    "BaselineKind",
+    "ExactBaseline",
+    "FLEET_BASELINE_SCHEMA",
+    "MEMORY_BASELINE_SCHEMA",
     "METRICS_BASELINE_SCHEMA",
-    "MetricsBaseline",
     "REORDER_BASELINE_SCHEMA",
-    "ReorderBaseline",
-    "collect_leiden_metrics",
-    "measure_metrics",
-    "measure_reorder",
-    "measure_service_metrics",
-    "record_metrics_baselines",
-    "record_reorder_baselines",
+    "REQTRACE_BASELINE_SCHEMA",
+    "SERVICE_BASELINE_SCHEMA",
     "MetricCheck",
     "RunMetrics",
     "Thresholds",
+    "collect_leiden_metrics",
     "compare_metrics",
     "default_baseline_dir",
     "diff_trace_docs",
+    "expected_baseline_names",
     "format_checks",
     "format_trace_diff",
     "measure_experiment",
+    "measure_metrics",
+    "measure_reorder",
+    "measure_service_metrics",
     "migrate_trace",
-    "record_baselines",
     "run_check",
     "run_profile",
     "run_trace",
@@ -175,30 +178,4 @@ __all__ = [
     "exact_percentile",
     "to_chrome_trace",
     "validate_chrome_trace",
-    "BASELINE_SCHEMA",
-    "METRICS_BASELINE_SCHEMA",
-    "MetricsBaseline",
-    "REORDER_BASELINE_SCHEMA",
-    "ReorderBaseline",
-    "collect_leiden_metrics",
-    "measure_metrics",
-    "measure_reorder",
-    "measure_service_metrics",
-    "record_metrics_baselines",
-    "record_reorder_baselines",
-    "Baseline",
-    "MetricCheck",
-    "RunMetrics",
-    "Thresholds",
-    "compare_metrics",
-    "default_baseline_dir",
-    "diff_trace_docs",
-    "format_checks",
-    "format_trace_diff",
-    "measure_experiment",
-    "migrate_trace",
-    "record_baselines",
-    "run_check",
-    "run_profile",
-    "run_trace",
-]
+] + sorted(_REGRESSION_EXPORTS)

@@ -1,8 +1,10 @@
 """Performance baselines and the ``repro bench --check`` regression gate.
 
-A *baseline* pins the expected outcome of one smoke experiment — one
-(graph, config, seed) triple — as a JSON file under
-``benchmarks/baselines/``.  Four metrics are compared:
+A *baseline* is one JSON file under ``benchmarks/baselines/``; its
+``schema`` tag selects a :data:`BASELINE_KINDS` entry naming the
+producer that re-measures it.  :class:`Baseline` (``repro.baseline/1``)
+pins one smoke experiment — one (graph, config, seed) triple — and
+gates on thresholds:
 
 - ``wall_seconds`` — Python wall clock (noisy across machines, so the
   committed baselines carry a generous threshold);
@@ -13,19 +15,22 @@ A *baseline* pins the expected outcome of one smoke experiment — one
 - ``modularity`` — solution quality (deterministic given the seed; gated
   on *drops* only).
 
-``run_check`` re-runs every committed baseline and exits non-zero when
-any metric regresses past its threshold, printing a readable diff — the
-artifact CI gates on.  ``record_baselines`` refreshes the files after an
-intentional perf or quality change (see docs/OBSERVABILITY.md).
+:class:`ExactBaseline` pins a whole deterministic document (service
+stats, metrics snapshot, memory report, ...) and gates on exact
+equality.  ``run_check`` re-runs every file and exits non-zero on any
+regression, printing a readable diff — the artifact CI gates on;
+``record`` refreshes a file after an intentional change (see
+docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro._version import __version__
 from repro.core.config import LeidenConfig
@@ -43,6 +48,7 @@ from repro.parallel.costmodel import PAPER_MACHINE
 from repro.parallel.runtime import Runtime
 
 __all__ = [
+    "BASELINE_KINDS",
     "BASELINE_SCHEMA",
     "FLEET_BASELINE_SCHEMA",
     "MEMORY_BASELINE_SCHEMA",
@@ -51,20 +57,17 @@ __all__ = [
     "REQTRACE_BASELINE_SCHEMA",
     "SERVICE_BASELINE_SCHEMA",
     "Baseline",
-    "FleetBaseline",
-    "MemoryBaseline",
-    "ReqtraceBaseline",
+    "BaselineKind",
+    "ExactBaseline",
     "MetricCheck",
-    "MetricsBaseline",
-    "ReorderBaseline",
     "RunMetrics",
-    "ServiceBaseline",
     "Thresholds",
     "collect_leiden_metrics",
     "compare_metrics",
     "compare_service_docs",
     "default_baseline_dir",
     "diff_trace_docs",
+    "expected_baseline_names",
     "format_checks",
     "format_trace_diff",
     "measure_experiment",
@@ -76,54 +79,22 @@ __all__ = [
     "measure_service",
     "measure_service_metrics",
     "migrate_trace",
-    "record_baselines",
-    "record_fleet_baselines",
-    "record_memory_baselines",
-    "record_metrics_baselines",
-    "record_reorder_baselines",
-    "record_reqtrace_baselines",
-    "record_service_baselines",
+    "record",
     "run_check",
     "run_profile",
     "run_trace",
 ]
 
-#: Version tag embedded in every baseline file.
+#: Schema tag of the threshold-gated perf baseline files.
 BASELINE_SCHEMA = "repro.baseline/1"
 
-#: Version tag of the service-workload baseline files.  Unlike the perf
-#: baselines, these gate on *exact* equality: the workload stats document
-#: carries no wall-clock fields, so any byte of drift is a real
-#: behavioural change in the serving subsystem.
+#: Schema tags of the exact-match baseline files; what each pins is
+#: tabled in docs/OBSERVABILITY.md.
 SERVICE_BASELINE_SCHEMA = "repro.service-baseline/1"
-
-#: Version tag of the metrics-snapshot baseline files.  Metrics snapshots
-#: contain no wall-clock fields, so these also gate on exact equality.
 METRICS_BASELINE_SCHEMA = "repro.metrics-baseline/1"
-
-#: Version tag of the reorder-locality baseline file.  The document
-#: holds modelled cache-line counts, modelled per-phase seconds,
-#: atomics and exact modularities for the original/scrambled/relabeled
-#: layouts of the largest registry graphs — all counting passes, no
-#: wall clock — so it too gates on exact equality.
 REORDER_BASELINE_SCHEMA = "repro.reorder-baseline/1"
-
-#: Version tag of the fleet-load baseline files.  The document holds
-#: the full 1-shard vs 4-shard A/B (stats, fan-out digests, invariance
-#: verdict) on logical clocks only, so it gates on exact equality.
 FLEET_BASELINE_SCHEMA = "repro.fleet-baseline/1"
-
-#: Version tag of the reqtrace-sampling baseline files.  The document
-#: holds the sampled-vs-full A/B of the request tracer (kept-set
-#: digests, deterministic-keep width invariance, flight-dump counts)
-#: on logical clocks only, so it gates on exact equality.
 REQTRACE_BASELINE_SCHEMA = "repro.reqtrace-baseline/1"
-
-#: Version tag of the memory-ledger baseline files.  The document is a
-#: full ``repro.memory/1`` report of one single-thread detection run —
-#: logical clock, per-component/per-phase watermarks and the complete
-#: event list, no wall-clock fields — so it gates on exact equality:
-#: any drift is a real change in what the pipeline allocates.
 MEMORY_BASELINE_SCHEMA = "repro.memory-baseline/1"
 
 #: Version tag of the multi-experiment bundle written by ``bench --trace``.
@@ -137,6 +108,10 @@ PROFILE_BUNDLE_SCHEMA = "repro.profile-bundle/1"
 #: small enough for CI, diverse enough to exercise every phase.
 DEFAULT_BASELINE_GRAPHS = ("asia_osm", "uk-2002", "com-Orkut")
 
+#: Graphs the committed reorder-locality baseline covers: the two
+#: largest registry graphs (by vertices + edges).
+DEFAULT_REORDER_GRAPHS = ("com-LiveJournal", "kmer_V1r")
+
 
 def default_baseline_dir() -> Path:
     """``benchmarks/baselines`` relative to the repo root (or cwd)."""
@@ -144,6 +119,11 @@ def default_baseline_dir() -> Path:
     if cwd.is_dir():
         return cwd
     return Path(__file__).resolve().parents[3] / "benchmarks" / "baselines"
+
+
+def _write_json(path: Path | str, doc: dict) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
 
 
 @dataclass(frozen=True)
@@ -214,6 +194,8 @@ class RunMetrics:
 class Baseline:
     """One committed smoke experiment: inputs, expectations, tolerances."""
 
+    schema: ClassVar[str] = BASELINE_SCHEMA
+
     name: str
     graph: str
     seed: int
@@ -222,14 +204,17 @@ class Baseline:
     metrics: RunMetrics = None  # type: ignore[assignment]
     thresholds: Thresholds = field(default_factory=Thresholds)
 
+    @property
+    def params(self) -> dict:
+        """Keyword arguments of the registry producer (``_measure_perf``)."""
+        return {"graph": self.graph, "seed": self.seed,
+                "num_threads": self.num_threads, "config": dict(self.config)}
+
     def to_dict(self) -> dict:
         return {
             "schema": BASELINE_SCHEMA,
+            **self.params,
             "name": self.name,
-            "graph": self.graph,
-            "seed": self.seed,
-            "num_threads": self.num_threads,
-            "config": dict(self.config),
             "metrics": self.metrics.to_dict(),
             "thresholds": self.thresholds.to_dict(),
             "recorded_with": __version__,
@@ -258,9 +243,22 @@ class Baseline:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
     def save(self, path: Path | str) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        _write_json(path, self.to_dict())
+
+    @classmethod
+    def record(cls, schema: str, name: str, params: dict) -> "Baseline":
+        """Measure ``params`` once; the committed thresholds apply."""
+        metrics = BASELINE_KINDS[schema].measure(**params)
+        return cls(name=name, metrics=metrics,
+                   thresholds=COMMITTED_THRESHOLDS, **params)
+
+    def check(self, *, thresholds: Optional[Thresholds] = None,
+              print_fn=print) -> bool:
+        """Re-measure; print the per-metric diff; True when all pass."""
+        current = BASELINE_KINDS[self.schema].measure(**self.params)
+        checks = compare_metrics(self, current, thresholds=thresholds)
+        print_fn(format_checks(self.name, checks))
+        return all(c.ok for c in checks)
 
 
 def measure_experiment(
@@ -359,93 +357,78 @@ def format_checks(name: str, checks: Sequence[MetricCheck]) -> str:
     return "\n".join([head] + [c.describe() for c in checks])
 
 
-def record_baselines(
-    directory: Path | str,
-    graphs: Sequence[str] = DEFAULT_BASELINE_GRAPHS,
-    *,
-    seed: int = 42,
-    num_threads: int = 64,
-    thresholds: Optional[Thresholds] = None,
-) -> List[Baseline]:
-    """(Re)write one baseline file per graph; returns the new baselines."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    out: List[Baseline] = []
-    for graph_name in graphs:
-        metrics, _ = measure_experiment(
-            graph_name, seed=seed, num_threads=num_threads
-        )
-        baseline = Baseline(
-            name=graph_name,
-            graph=graph_name,
-            seed=seed,
-            num_threads=num_threads,
-            config={},
-            metrics=metrics,
-            thresholds=thresholds or COMMITTED_THRESHOLDS,
-        )
-        baseline.save(directory / f"{graph_name}.json")
-        out.append(baseline)
-    return out
+# -- exact-match baselines ----------------------------------------------------
 
-
-# -- service-workload baselines (exact-match gate) ---------------------------
+#: Keys of an exact baseline file that are not producer parameters.
+_EXACT_ENVELOPE = frozenset({"schema", "name", "expected", "recorded_with"})
 
 
 @dataclass(frozen=True)
-class ServiceBaseline:
-    """One committed service workload: profile, seed, exact expectations.
+class ExactBaseline:
+    """One committed exact-match baseline.
 
-    ``expected`` is the full deterministic workload result document
-    (:meth:`repro.service.workload.WorkloadResult.to_json_dict`).  The
-    gate is exact equality — see :data:`SERVICE_BASELINE_SCHEMA`.
+    ``params`` are the keyword arguments of the schema's producer
+    (``BASELINE_KINDS[schema].measure``) and sit at the top level of the
+    file; ``expected`` is the document the producer returned for them.
+    The gate is exact equality: the producers emit no wall-clock fields,
+    so any drift is a real behavioural change.
     """
 
+    schema: str
     name: str
-    profile: str
-    seed: int
-    expected: Dict[str, object] = field(default_factory=dict)
+    params: Dict[str, object]
+    expected: Dict[str, object]
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SERVICE_BASELINE_SCHEMA,
-            "name": self.name,
-            "profile": self.profile,
-            "seed": self.seed,
-            "expected": self.expected,
-            "recorded_with": __version__,
-        }
+        return {**self.params, "schema": self.schema, "name": self.name,
+                "expected": self.expected, "recorded_with": __version__}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ServiceBaseline":
+    def from_dict(cls, d: dict) -> "ExactBaseline":
         schema = d.get("schema")
-        if schema != SERVICE_BASELINE_SCHEMA:
-            raise ValueError(
-                f"unsupported service baseline schema {schema!r} "
-                f"(expected {SERVICE_BASELINE_SCHEMA!r})"
-            )
-        return cls(
-            name=str(d["name"]),
-            profile=str(d["profile"]),
-            seed=int(d["seed"]),
-            expected=dict(d["expected"]),
-        )
+        kind = BASELINE_KINDS.get(schema)
+        if kind is None or kind.baseline is not cls:
+            raise ValueError(f"unsupported exact baseline schema {schema!r}")
+        params = {k: v for k, v in d.items() if k not in _EXACT_ENVELOPE}
+        wanted = sorted(kind.specs[0][1])
+        if sorted(params) != wanted:
+            raise ValueError(f"{schema} baseline has parameters "
+                             f"{sorted(params)}, expected {wanted}")
+        return cls(schema, str(d["name"]), params, dict(d["expected"]))
 
     @classmethod
-    def load(cls, path: Path | str) -> "ServiceBaseline":
+    def load(cls, path: Path | str) -> "ExactBaseline":
         return cls.from_dict(json.loads(Path(path).read_text()))
 
     def save(self, path: Path | str) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        _write_json(path, self.to_dict())
 
+    @classmethod
+    def record(cls, schema: str, name: str, params: dict) -> "ExactBaseline":
+        """Run the schema's producer on ``params`` and pin its document."""
+        return cls(schema, name, params,
+                   BASELINE_KINDS[schema].measure(**params))
 
-def measure_service(profile: str = "quick", *, seed: int = 0) -> dict:
-    """Run one service workload; returns its deterministic JSON document."""
-    from repro.service.workload import run_workload
+    def check(self, *, thresholds: Optional[Thresholds] = None,
+              print_fn=print) -> bool:
+        """Re-run the producer; print PASS/FAIL and up to 20 leaf diffs.
 
-    return run_workload(profile, seed=seed).to_json_dict()
+        ``thresholds`` is accepted for a uniform interface with
+        :meth:`Baseline.check` and ignored: the gate is exact.
+        """
+        current = BASELINE_KINDS[self.schema].measure(**self.params)
+        diffs = compare_service_docs(self.expected, current)
+        ok = not diffs
+        args = ", ".join(
+            f"{k}={','.join(v) if isinstance(v, list) else v}"
+            for k, v in sorted(self.params.items()))
+        print_fn(f"{'PASS' if ok else 'FAIL'} {self.name} "
+                 f"(exact match, {args})")
+        for path, exp, act in diffs[:20]:
+            print_fn(f"  [REG] {path}: baseline={exp!r}  current={act!r}")
+        if len(diffs) > 20:
+            print_fn(f"  ... and {len(diffs) - 20} more differing fields")
+        return ok
 
 
 def compare_service_docs(
@@ -471,97 +454,21 @@ def compare_service_docs(
     return diffs
 
 
-def record_service_baselines(
-    directory: Path | str,
-    profiles: Sequence[str] = ("quick",),
-    *,
-    seed: int = 0,
-) -> List[ServiceBaseline]:
-    """(Re)write one service baseline file per profile."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    out: List[ServiceBaseline] = []
-    for profile in profiles:
-        baseline = ServiceBaseline(
-            name=f"service_{profile}",
-            profile=profile,
-            seed=seed,
-            expected=measure_service(profile, seed=seed),
-        )
-        baseline.save(directory / f"service_{profile}.json")
-        out.append(baseline)
-    return out
+# -- producers ----------------------------------------------------------------
 
 
-def _check_service_baseline(baseline: ServiceBaseline, print_fn) -> bool:
-    current = measure_service(baseline.profile, seed=baseline.seed)
-    diffs = compare_service_docs(baseline.expected, current)
-    ok = not diffs
-    print_fn(f"{'PASS' if ok else 'FAIL'} {baseline.name} "
-             f"(exact match, profile={baseline.profile}, "
-             f"seed={baseline.seed})")
-    for path, exp, act in diffs[:20]:
-        print_fn(f"  [REG] {path}: baseline={exp!r}  current={act!r}")
-    if len(diffs) > 20:
-        print_fn(f"  ... and {len(diffs) - 20} more differing fields")
-    return ok
+def _measure_perf(graph: str, seed: int, num_threads: int,
+                  config: dict) -> RunMetrics:
+    metrics, _ = measure_experiment(graph, seed=seed,
+                                    num_threads=num_threads, config=config)
+    return metrics
 
 
-# -- metrics-snapshot baselines (exact-match gate) ---------------------------
+def measure_service(profile: str = "quick", *, seed: int = 0) -> dict:
+    """Run one service workload; returns its deterministic JSON document."""
+    from repro.service.workload import run_workload
 
-
-@dataclass(frozen=True)
-class MetricsBaseline:
-    """One committed metrics snapshot: what, seed, exact expectations.
-
-    ``kind`` selects the producer: ``"leiden"`` snapshots an instrumented
-    detection run on registry graph ``target``; ``"service"`` snapshots
-    an instrumented workload of profile ``target`` (with the stock SLO
-    evaluator attached).  The gate is exact equality — snapshots carry no
-    wall-clock fields, so any drift is a real behavioural change.
-    """
-
-    name: str
-    kind: str
-    target: str
-    seed: int
-    expected: Dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": METRICS_BASELINE_SCHEMA,
-            "name": self.name,
-            "kind": self.kind,
-            "target": self.target,
-            "seed": self.seed,
-            "expected": self.expected,
-            "recorded_with": __version__,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsBaseline":
-        schema = d.get("schema")
-        if schema != METRICS_BASELINE_SCHEMA:
-            raise ValueError(
-                f"unsupported metrics baseline schema {schema!r} "
-                f"(expected {METRICS_BASELINE_SCHEMA!r})"
-            )
-        return cls(
-            name=str(d["name"]),
-            kind=str(d["kind"]),
-            target=str(d["target"]),
-            seed=int(d["seed"]),
-            expected=dict(d["expected"]),
-        )
-
-    @classmethod
-    def load(cls, path: Path | str) -> "MetricsBaseline":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def save(self, path: Path | str) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+    return run_workload(profile, seed=seed).to_json_dict()
 
 
 def collect_leiden_metrics(
@@ -644,121 +551,12 @@ def measure_service_metrics(profile: str = "quick", *, seed: int = 0) -> dict:
         clock_units=int(server.clock),
     )
 
-
-def record_metrics_baselines(
-    directory: Path | str,
-    graphs: Sequence[str] = ("asia_osm",),
-    profiles: Sequence[str] = ("quick",),
-    *,
-    seed: int = 42,
-    service_seed: int = 0,
-) -> List[MetricsBaseline]:
-    """(Re)write the metrics-snapshot baseline files."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    out: List[MetricsBaseline] = []
-    for graph_name in graphs:
-        baseline = MetricsBaseline(
-            name=f"metrics_{graph_name}",
-            kind="leiden",
-            target=graph_name,
-            seed=seed,
-            expected=measure_metrics(graph_name, seed=seed),
-        )
-        baseline.save(directory / f"metrics_{graph_name}.json")
-        out.append(baseline)
-    for profile in profiles:
-        baseline = MetricsBaseline(
-            name=f"metrics_service_{profile}",
-            kind="service",
-            target=profile,
-            seed=service_seed,
-            expected=measure_service_metrics(profile, seed=service_seed),
-        )
-        baseline.save(directory / f"metrics_service_{profile}.json")
-        out.append(baseline)
-    return out
-
-
-def _check_metrics_baseline(baseline: MetricsBaseline, print_fn) -> bool:
-    if baseline.kind == "service":
-        current = measure_service_metrics(baseline.target, seed=baseline.seed)
-    else:
-        current = measure_metrics(baseline.target, seed=baseline.seed)
-    diffs = compare_service_docs(baseline.expected, current)
-    ok = not diffs
-    print_fn(f"{'PASS' if ok else 'FAIL'} {baseline.name} "
-             f"(exact match, kind={baseline.kind}, "
-             f"target={baseline.target}, seed={baseline.seed})")
-    for path, exp, act in diffs[:20]:
-        print_fn(f"  [REG] {path}: baseline={exp!r}  current={act!r}")
-    if len(diffs) > 20:
-        print_fn(f"  ... and {len(diffs) - 20} more differing fields")
-    return ok
-
-
-# -- reorder-locality baselines (exact-match gate) ---------------------------
-
-#: Graphs the committed reorder-locality baseline covers: the two
-#: largest registry graphs (by vertices + edges).
-DEFAULT_REORDER_GRAPHS = ("com-LiveJournal", "kmer_V1r")
-
-
-@dataclass(frozen=True)
-class ReorderBaseline:
-    """The committed reorder-locality expectations, one doc per graph.
-
-    ``expected`` maps each graph name to the deterministic document of
-    :func:`repro.bench.experiments.ext_reorder_locality.
-    measure_reorder_locality` — modelled locality of the original,
-    scrambled and community-relabeled layouts plus batch-solve
-    summaries.  The gate is exact equality.
-    """
-
-    name: str
-    graphs: Tuple[str, ...]
-    seed: int
-    scramble_seed: int
-    mode: str
-    expected: Dict[str, dict] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": REORDER_BASELINE_SCHEMA,
-            "name": self.name,
-            "graphs": list(self.graphs),
-            "seed": self.seed,
-            "scramble_seed": self.scramble_seed,
-            "mode": self.mode,
-            "expected": self.expected,
-            "recorded_with": __version__,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReorderBaseline":
-        schema = d.get("schema")
-        if schema != REORDER_BASELINE_SCHEMA:
-            raise ValueError(
-                f"unsupported reorder baseline schema {schema!r} "
-                f"(expected {REORDER_BASELINE_SCHEMA!r})"
-            )
-        return cls(
-            name=str(d["name"]),
-            graphs=tuple(d["graphs"]),
-            seed=int(d["seed"]),
-            scramble_seed=int(d["scramble_seed"]),
-            mode=str(d["mode"]),
-            expected=dict(d["expected"]),
-        )
-
-    @classmethod
-    def load(cls, path: Path | str) -> "ReorderBaseline":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def save(self, path: Path | str) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+def _measure_metrics_baseline(kind: str, target: str, seed: int) -> dict:
+    """``kind="service"`` snapshots workload profile ``target``;
+    ``kind="leiden"`` snapshots a detection run on graph ``target``."""
+    if kind == "service":
+        return measure_service_metrics(target, seed=seed)
+    return measure_metrics(target, seed=seed)
 
 
 def measure_reorder(
@@ -780,99 +578,6 @@ def measure_reorder(
     }
 
 
-def record_reorder_baselines(
-    directory: Path | str,
-    graphs: Sequence[str] = DEFAULT_REORDER_GRAPHS,
-    *,
-    seed: int = 42,
-    scramble_seed: int = 7,
-    mode: str = "community",
-) -> List[ReorderBaseline]:
-    """(Re)write the reorder-locality baseline file."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    baseline = ReorderBaseline(
-        name="reorder_locality",
-        graphs=tuple(graphs),
-        seed=seed,
-        scramble_seed=scramble_seed,
-        mode=mode,
-        expected=measure_reorder(
-            graphs, seed=seed, scramble_seed=scramble_seed, mode=mode),
-    )
-    baseline.save(directory / "reorder_locality.json")
-    return [baseline]
-
-
-def _check_reorder_baseline(baseline: ReorderBaseline, print_fn) -> bool:
-    current = measure_reorder(
-        baseline.graphs, seed=baseline.seed,
-        scramble_seed=baseline.scramble_seed, mode=baseline.mode)
-    diffs = compare_service_docs(baseline.expected, current)
-    ok = not diffs
-    print_fn(f"{'PASS' if ok else 'FAIL'} {baseline.name} "
-             f"(exact match, graphs={','.join(baseline.graphs)}, "
-             f"mode={baseline.mode}, seed={baseline.seed})")
-    for path, exp, act in diffs[:20]:
-        print_fn(f"  [REG] {path}: baseline={exp!r}  current={act!r}")
-    if len(diffs) > 20:
-        print_fn(f"  ... and {len(diffs) - 20} more differing fields")
-    return ok
-
-
-# -- fleet-load baselines (exact-match gate) ---------------------------------
-
-
-@dataclass(frozen=True)
-class FleetBaseline:
-    """One committed fleet A/B: profile, seed, exact expectations.
-
-    ``expected`` is the deterministic 1-shard vs 4-shard comparison
-    document of :func:`repro.bench.experiments.ext_fleet_load.
-    measure_fleet_load` — both runs' full stats plus the cross-width
-    fan-out invariance verdict.  The gate is exact equality.
-    """
-
-    name: str
-    profile: str
-    seed: int
-    expected: Dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": FLEET_BASELINE_SCHEMA,
-            "name": self.name,
-            "profile": self.profile,
-            "seed": self.seed,
-            "expected": self.expected,
-            "recorded_with": __version__,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FleetBaseline":
-        schema = d.get("schema")
-        if schema != FLEET_BASELINE_SCHEMA:
-            raise ValueError(
-                f"unsupported fleet baseline schema {schema!r} "
-                f"(expected {FLEET_BASELINE_SCHEMA!r})"
-            )
-        return cls(
-            name=str(d["name"]),
-            profile=str(d["profile"]),
-            seed=int(d["seed"]),
-            expected=dict(d["expected"]),
-        )
-
-    @classmethod
-    def load(cls, path: Path | str) -> "FleetBaseline":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def save(self, path: Path | str) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-
-
 def measure_fleet(profile: str = "quick", *, seed: int = 0) -> dict:
     """Deterministic fleet A/B document for one ``(profile, seed)``."""
     from repro.bench.experiments.ext_fleet_load import measure_fleet_load
@@ -880,97 +585,7 @@ def measure_fleet(profile: str = "quick", *, seed: int = 0) -> dict:
     return measure_fleet_load(profile, seed=seed)
 
 
-def record_fleet_baselines(
-    directory: Path | str,
-    profiles: Sequence[str] = ("quick",),
-    *,
-    seed: int = 0,
-) -> List[FleetBaseline]:
-    """(Re)write one fleet baseline file per profile."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    out: List[FleetBaseline] = []
-    for profile in profiles:
-        baseline = FleetBaseline(
-            name=f"fleet_{profile}",
-            profile=profile,
-            seed=seed,
-            expected=measure_fleet(profile, seed=seed),
-        )
-        baseline.save(directory / f"fleet_{profile}.json")
-        out.append(baseline)
-    return out
-
-
-def _check_fleet_baseline(baseline: FleetBaseline, print_fn) -> bool:
-    current = measure_fleet(baseline.profile, seed=baseline.seed)
-    diffs = compare_service_docs(baseline.expected, current)
-    ok = not diffs
-    print_fn(f"{'PASS' if ok else 'FAIL'} {baseline.name} "
-             f"(exact match, profile={baseline.profile}, "
-             f"seed={baseline.seed})")
-    for path, exp, act in diffs[:20]:
-        print_fn(f"  [REG] {path}: baseline={exp!r}  current={act!r}")
-    if len(diffs) > 20:
-        print_fn(f"  ... and {len(diffs) - 20} more differing fields")
-    return ok
-
-
-# -- memory-ledger baselines (exact-match gate) ------------------------------
-
-
-@dataclass(frozen=True)
-class MemoryBaseline:
-    """One committed memory report: graph, seed, exact expectations.
-
-    ``expected`` is the full ``repro.memory/1`` document of a
-    single-thread detection run on registry graph ``graph`` —
-    :func:`measure_memory`'s output.  The gate is exact equality: the
-    ledger's clock is an event counter and iteration is sorted, so any
-    byte of drift is a real change in the pipeline's allocations.
-    """
-
-    name: str
-    graph: str
-    seed: int
-    expected: Dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": MEMORY_BASELINE_SCHEMA,
-            "name": self.name,
-            "graph": self.graph,
-            "seed": self.seed,
-            "expected": self.expected,
-            "recorded_with": __version__,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MemoryBaseline":
-        schema = d.get("schema")
-        if schema != MEMORY_BASELINE_SCHEMA:
-            raise ValueError(
-                f"unsupported memory baseline schema {schema!r} "
-                f"(expected {MEMORY_BASELINE_SCHEMA!r})"
-            )
-        return cls(
-            name=str(d["name"]),
-            graph=str(d["graph"]),
-            seed=int(d["seed"]),
-            expected=dict(d["expected"]),
-        )
-
-    @classmethod
-    def load(cls, path: Path | str) -> "MemoryBaseline":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def save(self, path: Path | str) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-
-
-def measure_memory(graph_name: str = "asia_osm", *, seed: int = 42) -> dict:
+def measure_memory(graph: str = "asia_osm", *, seed: int = 42) -> dict:
     """Deterministic ``repro.memory/1`` report of one detection run.
 
     Single-thread run with a :class:`~repro.observability.memtrack.
@@ -985,106 +600,14 @@ def measure_memory(graph_name: str = "asia_osm", *, seed: int = 42) -> dict:
         validate_memory_doc,
     )
 
-    graph = load_graph(graph_name)
+    csr = load_graph(graph)
     memory = MemoryLedger()
-    record_csr(memory, graph)
+    record_csr(memory, csr)
     with Runtime(num_threads=1, seed=seed, memory=memory) as rt:
-        leiden(graph, LeidenConfig(seed=seed), runtime=rt)
-    doc = memory.to_snapshot(experiment=graph_name, seed=seed)
+        leiden(csr, LeidenConfig(seed=seed), runtime=rt)
+    doc = memory.to_snapshot(experiment=graph, seed=seed)
     validate_memory_doc(doc)
     return doc
-
-
-def record_memory_baselines(
-    directory: Path | str,
-    graphs: Sequence[str] = ("asia_osm",),
-    *,
-    seed: int = 42,
-) -> List["MemoryBaseline"]:
-    """(Re)write the memory baseline file (``memory_quick.json``)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    out: List[MemoryBaseline] = []
-    for i, graph_name in enumerate(graphs):
-        baseline = MemoryBaseline(
-            name="memory_quick" if i == 0 else f"memory_{graph_name}",
-            graph=graph_name,
-            seed=seed,
-            expected=measure_memory(graph_name, seed=seed),
-        )
-        baseline.save(directory / f"{baseline.name}.json")
-        out.append(baseline)
-    return out
-
-
-def _check_memory_baseline(baseline: "MemoryBaseline", print_fn) -> bool:
-    current = measure_memory(baseline.graph, seed=baseline.seed)
-    diffs = compare_service_docs(baseline.expected, current)
-    ok = not diffs
-    print_fn(f"{'PASS' if ok else 'FAIL'} {baseline.name} "
-             f"(exact match, graph={baseline.graph}, "
-             f"seed={baseline.seed})")
-    for path, exp, act in diffs[:20]:
-        print_fn(f"  [REG] {path}: baseline={exp!r}  current={act!r}")
-    if len(diffs) > 20:
-        print_fn(f"  ... and {len(diffs) - 20} more differing fields")
-    return ok
-
-
-# -- reqtrace-sampling baselines (exact-match gate) --------------------------
-
-
-@dataclass(frozen=True)
-class ReqtraceBaseline:
-    """One committed reqtrace A/B: profile, seed, exact expectations.
-
-    ``expected`` is the deterministic sampled-vs-full comparison
-    document of :func:`repro.bench.experiments.ext_fleet_reqtrace.
-    measure_fleet_reqtrace` — per-width kept-set digests, the
-    mode-agreement verdict, and the deterministic-keep width-invariance
-    verdict.  The gate is exact equality: the tail-sampling rules are
-    pure functions of the request tape, so any drift in the kept set is
-    a behavioural change in tracing or serving.
-    """
-
-    name: str
-    profile: str
-    seed: int
-    expected: Dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": REQTRACE_BASELINE_SCHEMA,
-            "name": self.name,
-            "profile": self.profile,
-            "seed": self.seed,
-            "expected": self.expected,
-            "recorded_with": __version__,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReqtraceBaseline":
-        schema = d.get("schema")
-        if schema != REQTRACE_BASELINE_SCHEMA:
-            raise ValueError(
-                f"unsupported reqtrace baseline schema {schema!r} "
-                f"(expected {REQTRACE_BASELINE_SCHEMA!r})"
-            )
-        return cls(
-            name=str(d["name"]),
-            profile=str(d["profile"]),
-            seed=int(d["seed"]),
-            expected=dict(d["expected"]),
-        )
-
-    @classmethod
-    def load(cls, path: Path | str) -> "ReqtraceBaseline":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def save(self, path: Path | str) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
 
 
 def measure_reqtrace(profile: str = "quick", *, seed: int = 0) -> dict:
@@ -1096,60 +619,120 @@ def measure_reqtrace(profile: str = "quick", *, seed: int = 0) -> dict:
     return measure_fleet_reqtrace(profile, seed=seed)
 
 
-def record_reqtrace_baselines(
-    directory: Path | str,
-    profiles: Sequence[str] = ("quick",),
-    *,
-    seed: int = 0,
-) -> List[ReqtraceBaseline]:
-    """(Re)write one reqtrace baseline file per profile."""
+# -- the registry -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BaselineKind:
+    """How the files of one baseline schema are made and re-checked.
+
+    ``measure(**params)`` is the producer; ``specs`` are the committed
+    ``(file name, params)`` pairs — what ``--update-baselines`` writes
+    and ``--check`` requires; ``summary(baseline)`` is printed after
+    recording as ``recorded <label> baseline <name> (<summary>)``.
+    ``baseline`` is the file class: :class:`ExactBaseline` for the
+    exact-match gate, :class:`Baseline` for the threshold gate.
+    """
+
+    label: str
+    measure: Callable[..., object]
+    specs: Tuple[Tuple[str, Dict[str, object]], ...]
+    summary: Callable[[object], str]
+    baseline: type = ExactBaseline
+
+
+#: Every baseline schema ``--check`` understands, in recording order.
+BASELINE_KINDS: Dict[str, BaselineKind] = {
+    BASELINE_SCHEMA: BaselineKind(
+        label="",
+        measure=_measure_perf,
+        specs=tuple(
+            (f"{g}.json",
+             {"graph": g, "seed": 42, "num_threads": 64, "config": {}})
+            for g in DEFAULT_BASELINE_GRAPHS),
+        summary=lambda b: (f"modeled {b.metrics.modeled_seconds:.4f}s, "
+                           f"Q={b.metrics.modularity:.4f}"),
+        baseline=Baseline,
+    ),
+    SERVICE_BASELINE_SCHEMA: BaselineKind(
+        label="service",
+        measure=measure_service,
+        specs=(("service_quick.json", {"profile": "quick", "seed": 0}),),
+        summary=lambda b: (
+            f"clock={b.expected['stats']['clock_units']} units, "
+            f"{b.expected['stats']['counters']['queries_served']} queries"),
+    ),
+    METRICS_BASELINE_SCHEMA: BaselineKind(
+        label="metrics",
+        measure=_measure_metrics_baseline,
+        specs=(
+            ("metrics_asia_osm.json",
+             {"kind": "leiden", "target": "asia_osm", "seed": 42}),
+            ("metrics_service_quick.json",
+             {"kind": "service", "target": "quick", "seed": 0}),
+        ),
+        summary=lambda b: (f"{b.params['kind']}, "
+                           f"{len(b.expected['families'])} "
+                           f"instrument families"),
+    ),
+    REORDER_BASELINE_SCHEMA: BaselineKind(
+        label="reorder",
+        measure=measure_reorder,
+        specs=(("reorder_locality.json",
+                {"graphs": list(DEFAULT_REORDER_GRAPHS), "seed": 42,
+                 "scramble_seed": 7, "mode": "community"}),),
+        summary=lambda b: (f"graphs={','.join(b.params['graphs'])}, "
+                           f"mode={b.params['mode']}"),
+    ),
+    FLEET_BASELINE_SCHEMA: BaselineKind(
+        label="fleet",
+        measure=measure_fleet,
+        specs=(("fleet_quick.json", {"profile": "quick", "seed": 0}),),
+        summary=lambda b: (f"{'/'.join(sorted(b.expected['runs']))}, "
+                           f"invariant={b.expected['invariant']}"),
+    ),
+    REQTRACE_BASELINE_SCHEMA: BaselineKind(
+        label="reqtrace",
+        measure=measure_reqtrace,
+        specs=(("reqtrace_quick.json", {"profile": "quick", "seed": 0}),),
+        summary=lambda b: (
+            f"{'/'.join(sorted(b.expected['widths']))}, "
+            f"kept_match={b.expected['kept_match']}, "
+            f"det_invariant={b.expected['det_keep_invariant']}"),
+    ),
+    MEMORY_BASELINE_SCHEMA: BaselineKind(
+        label="memory",
+        measure=measure_memory,
+        specs=(("memory_quick.json", {"graph": "asia_osm", "seed": 42}),),
+        summary=lambda b: (
+            f"graph={b.params['graph']}, "
+            f"clock={b.expected['logical']['clock']}, "
+            f"peak={b.expected['logical']['peak_bytes']} B"),
+    ),
+}
+
+
+def record(directory: Path | str, schema: str, file_name: str,
+           params: dict) -> "Baseline | ExactBaseline":
+    """Measure one baseline of ``schema`` and write ``directory/file_name``.
+
+    The baseline is named after the file's stem.  ``bench
+    --update-baselines`` calls this for every spec in
+    :data:`BASELINE_KINDS`.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    out: List[ReqtraceBaseline] = []
-    for profile in profiles:
-        baseline = ReqtraceBaseline(
-            name=f"reqtrace_{profile}",
-            profile=profile,
-            seed=seed,
-            expected=measure_reqtrace(profile, seed=seed),
-        )
-        baseline.save(directory / f"reqtrace_{profile}.json")
-        out.append(baseline)
-    return out
-
-
-def _check_reqtrace_baseline(baseline: ReqtraceBaseline, print_fn) -> bool:
-    current = measure_reqtrace(baseline.profile, seed=baseline.seed)
-    diffs = compare_service_docs(baseline.expected, current)
-    ok = not diffs
-    print_fn(f"{'PASS' if ok else 'FAIL'} {baseline.name} "
-             f"(exact match, profile={baseline.profile}, "
-             f"seed={baseline.seed})")
-    for path, exp, act in diffs[:20]:
-        print_fn(f"  [REG] {path}: baseline={exp!r}  current={act!r}")
-    if len(diffs) > 20:
-        print_fn(f"  ... and {len(diffs) - 20} more differing fields")
-    return ok
+    baseline = BASELINE_KINDS[schema].baseline.record(
+        schema, Path(file_name).stem, copy.deepcopy(params))
+    baseline.save(directory / file_name)
+    return baseline
 
 
 def expected_baseline_names() -> List[str]:
-    """Filenames ``--check`` requires to be present in the baseline dir.
-
-    Derived from the recorders' defaults (:func:`record_baselines`,
-    :func:`record_service_baselines`, :func:`record_metrics_baselines`,
-    :func:`record_reorder_baselines`, :func:`record_fleet_baselines`,
-    :func:`record_reqtrace_baselines`, :func:`record_memory_baselines`)
-    — the set ``--update-baselines`` writes and CI commits.
-    """
-    names = [f"{g}.json" for g in DEFAULT_BASELINE_GRAPHS]
-    names.append("service_quick.json")
-    names.append("metrics_asia_osm.json")
-    names.append("metrics_service_quick.json")
-    names.append("reorder_locality.json")
-    names.append("fleet_quick.json")
-    names.append("reqtrace_quick.json")
-    names.append("memory_quick.json")
-    return sorted(names)
+    """Filenames ``--check`` requires to be present in the baseline dir:
+    every committed spec in :data:`BASELINE_KINDS`."""
+    return sorted(name for kind in BASELINE_KINDS.values()
+                  for name, _ in kind.specs)
 
 
 def run_check(
@@ -1162,9 +745,9 @@ def run_check(
     """Re-run every committed baseline and compare; 0 = all pass.
 
     This is the body of ``repro bench --check``: the exit code is the CI
-    gate, the printed diff is the human-readable artifact.  Dispatches on
-    each file's ``schema`` tag: perf baselines gate on thresholds,
-    service baselines on exact stats equality.
+    gate, the printed diff is the human-readable artifact.  Each file's
+    ``schema`` tag selects its :data:`BASELINE_KINDS` entry; a file with
+    an unknown tag counts as a failure and the rest are still checked.
 
     With ``require_complete`` (the CLI always sets it), a *missing*
     expected baseline file is a hard error (exit 2), not a silent pass —
@@ -1191,46 +774,13 @@ def run_check(
     failures = 0
     for path in paths:
         doc = json.loads(path.read_text())
-        if doc.get("schema") == SERVICE_BASELINE_SCHEMA:
-            if not _check_service_baseline(
-                    ServiceBaseline.from_dict(doc), print_fn):
-                failures += 1
-            continue
-        if doc.get("schema") == METRICS_BASELINE_SCHEMA:
-            if not _check_metrics_baseline(
-                    MetricsBaseline.from_dict(doc), print_fn):
-                failures += 1
-            continue
-        if doc.get("schema") == REORDER_BASELINE_SCHEMA:
-            if not _check_reorder_baseline(
-                    ReorderBaseline.from_dict(doc), print_fn):
-                failures += 1
-            continue
-        if doc.get("schema") == FLEET_BASELINE_SCHEMA:
-            if not _check_fleet_baseline(
-                    FleetBaseline.from_dict(doc), print_fn):
-                failures += 1
-            continue
-        if doc.get("schema") == REQTRACE_BASELINE_SCHEMA:
-            if not _check_reqtrace_baseline(
-                    ReqtraceBaseline.from_dict(doc), print_fn):
-                failures += 1
-            continue
-        if doc.get("schema") == MEMORY_BASELINE_SCHEMA:
-            if not _check_memory_baseline(
-                    MemoryBaseline.from_dict(doc), print_fn):
-                failures += 1
-            continue
-        baseline = Baseline.from_dict(doc)
-        current, _ = measure_experiment(
-            baseline.graph,
-            seed=baseline.seed,
-            num_threads=baseline.num_threads,
-            config=baseline.config,
-        )
-        checks = compare_metrics(baseline, current, thresholds=thresholds)
-        print_fn(format_checks(baseline.name, checks))
-        if not all(c.ok for c in checks):
+        kind = BASELINE_KINDS.get(doc.get("schema"))
+        if kind is None:
+            print_fn(f"FAIL {path.name}: unknown schema "
+                     f"{doc.get('schema')!r}")
+            failures += 1
+        elif not kind.baseline.from_dict(doc).check(
+                thresholds=thresholds, print_fn=print_fn):
             failures += 1
     total = len(paths)
     print_fn(f"{total - failures}/{total} baselines within thresholds")

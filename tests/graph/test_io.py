@@ -134,6 +134,30 @@ class TestMtx:
         with pytest.raises(GraphFormatError):
             read_mtx(io.StringIO(text))
 
+    def test_rejects_unparsable_entry_naming_file_and_line(self, tmp_path):
+        p = tmp_path / "bad.mtx"
+        p.write_text("%%MatrixMarket matrix coordinate real general\n"
+                     "% comment\n"
+                     "2 2 2\n"
+                     "1 2 1.0\n"
+                     "1 2 x\n")
+        with pytest.raises(GraphFormatError, match=r"bad\.mtx:5: .*'1 2 x'"):
+            read_mtx(p)
+
+    def test_rejects_unparsable_size_line(self):
+        text = "%%MatrixMarket matrix coordinate real general\n2 two 0\n"
+        with pytest.raises(GraphFormatError, match=":2: "):
+            read_mtx(io.StringIO(text))
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_weight(self, tmp_path, weight):
+        p = tmp_path / "nan.mtx"
+        p.write_text("%%MatrixMarket matrix coordinate real general\n"
+                     f"2 2 1\n1 2 {weight}\n")
+        with pytest.raises(GraphFormatError,
+                           match=r"nan\.mtx:3: non-finite weight"):
+            read_mtx(p)
+
     def test_rejects_array_format(self):
         with pytest.raises(GraphFormatError):
             read_mtx(io.StringIO("%%MatrixMarket matrix array real general\n"))

@@ -1,35 +1,21 @@
-"""Tests for the exact-match metrics-snapshot baselines in the bench gate."""
+"""Tests for the metrics-snapshot producers behind the exact-match gate.
+
+The generic record/check/drift behaviour of ``repro.metrics-baseline/1``
+files is covered with every other exact schema in
+``test_regression.py::TestExactBaselines``.
+"""
 
 import json
 
-import pytest
-
 from repro.observability.regression import (
+    BASELINE_KINDS,
+    BASELINE_SCHEMA,
     METRICS_BASELINE_SCHEMA,
-    MetricsBaseline,
     measure_metrics,
     measure_service_metrics,
-    record_metrics_baselines,
+    record,
     run_check,
 )
-
-
-class TestMetricsBaselineRoundTrip:
-    def test_save_load(self, tmp_path):
-        b = MetricsBaseline(name="metrics_x", kind="leiden", target="x",
-                            seed=3, expected={"families": {}})
-        path = tmp_path / "metrics_x.json"
-        b.save(path)
-        loaded = MetricsBaseline.load(path)
-        assert loaded == b
-        assert json.loads(path.read_text())["schema"] == \
-            METRICS_BASELINE_SCHEMA
-
-    def test_rejects_unknown_schema(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "nope/9", "name": "x"}))
-        with pytest.raises(ValueError):
-            MetricsBaseline.load(path)
 
 
 class TestMeasureDeterminism:
@@ -46,32 +32,11 @@ class TestMeasureDeterminism:
 
 
 class TestGate:
-    def test_record_then_check_passes(self, tmp_path, capsys):
-        record_metrics_baselines(tmp_path, graphs=("asia_osm",),
-                                 profiles=("tiny",))
-        assert run_check(tmp_path) == 0
-        out = capsys.readouterr().out
-        assert "PASS metrics_asia_osm" in out
-        assert "PASS metrics_service_tiny" in out
-
-    def test_drifted_snapshot_fails(self, tmp_path, capsys):
-        (baseline,) = record_metrics_baselines(tmp_path, graphs=("asia_osm",),
-                                               profiles=())
-        doc = baseline.to_dict()
-        doc["expected"]["families"]["leiden_passes_total"]["series"][0][
-            "value"] += 1
-        (tmp_path / "metrics_asia_osm.json").write_text(json.dumps(doc))
-        assert run_check(tmp_path) == 1
-        out = capsys.readouterr().out
-        assert "FAIL metrics_asia_osm" in out
-        assert "[REG]" in out
-        assert "leiden_passes_total" in out
-
     def test_mixed_dir_dispatches_by_schema(self, tmp_path, capsys):
-        from repro.observability.regression import record_baselines
-
-        record_baselines(tmp_path, graphs=("asia_osm",), seed=42)
-        record_metrics_baselines(tmp_path, graphs=("asia_osm",), profiles=())
+        record(tmp_path, BASELINE_SCHEMA,
+               *BASELINE_KINDS[BASELINE_SCHEMA].specs[0])
+        record(tmp_path, METRICS_BASELINE_SCHEMA, "metrics_asia_osm.json",
+               {"kind": "leiden", "target": "asia_osm", "seed": 42})
         assert run_check(tmp_path) == 0
         out = capsys.readouterr().out
         assert "PASS asia_osm" in out

@@ -6,20 +6,33 @@ import pytest
 
 from repro.observability import regression
 from repro.observability.regression import (
+    BASELINE_KINDS,
     BASELINE_SCHEMA,
     Baseline,
+    ExactBaseline,
     RunMetrics,
     Thresholds,
     compare_metrics,
     format_checks,
     measure_experiment,
-    record_baselines,
+    record,
     run_check,
     run_trace,
 )
 from repro.observability.tracer import Tracer
 
 GRAPH = "asia_osm"  # smallest smoke graph in the registry
+
+#: The committed perf spec for GRAPH: ``("asia_osm.json", params)``.
+PERF_SPEC = BASELINE_KINDS[BASELINE_SCHEMA].specs[0]
+assert PERF_SPEC[0] == f"{GRAPH}.json"
+
+EXACT_SCHEMAS = [s for s, k in BASELINE_KINDS.items()
+                 if k.baseline is ExactBaseline]
+
+
+def _record_perf(directory):
+    return record(directory, BASELINE_SCHEMA, *PERF_SPEC)
 
 
 def _metrics(**overrides):
@@ -114,7 +127,7 @@ class TestMeasureExperiment:
 
 class TestRunCheck:
     def test_clean_tree_passes(self, tmp_path, capsys):
-        record_baselines(tmp_path, [GRAPH])
+        _record_perf(tmp_path)
         assert run_check(tmp_path) == 0
         out = capsys.readouterr().out
         assert "PASS asia_osm" in out
@@ -125,8 +138,7 @@ class TestRunCheck:
     ):
         """A synthetic 20% wall-clock slowdown must exit non-zero and
         print which metric regressed by how much."""
-        (recorded,) = record_baselines(tmp_path, [GRAPH],
-                                       thresholds=Thresholds())
+        recorded = _record_perf(tmp_path)
         real = regression.measure_experiment
 
         def slowed(*args, **kwargs):
@@ -139,7 +151,7 @@ class TestRunCheck:
             return slow, result
 
         monkeypatch.setattr(regression, "measure_experiment", slowed)
-        assert run_check(tmp_path) == 1
+        assert run_check(tmp_path, thresholds=Thresholds()) == 1
         out = capsys.readouterr().out
         assert "FAIL asia_osm" in out
         assert "[REG] wall_seconds" in out
@@ -147,7 +159,7 @@ class TestRunCheck:
         assert "0/1 baselines within thresholds" in out
 
     def test_modeled_work_regression_fails(self, tmp_path, capsys, monkeypatch):
-        record_baselines(tmp_path, [GRAPH], thresholds=Thresholds())
+        _record_perf(tmp_path)
         real = regression.measure_experiment
 
         def heavier(*args, **kwargs):
@@ -157,7 +169,7 @@ class TestRunCheck:
             return heavy, result
 
         monkeypatch.setattr(regression, "measure_experiment", heavier)
-        assert run_check(tmp_path) == 1
+        assert run_check(tmp_path, thresholds=Thresholds()) == 1
         assert "[REG] total_work" in capsys.readouterr().out
 
     def test_missing_baseline_dir(self, tmp_path, capsys):
@@ -165,26 +177,129 @@ class TestRunCheck:
         assert "no baselines" in capsys.readouterr().out
 
 
-class TestServiceBaseline:
-    def test_save_load_roundtrip(self, tmp_path):
-        b = regression.ServiceBaseline(
-            name="service_tiny", profile="tiny", seed=0,
-            expected={"stats": {"clock_units": 1}})
-        path = tmp_path / "service_tiny.json"
+#: The cheapest params of each exact-baseline producer, and one leaf of
+#: its document that the drift test tampers with.
+CHEAP_CASES = {
+    "service": (regression.SERVICE_BASELINE_SCHEMA, "service_tiny.json",
+                {"profile": "tiny", "seed": 0}, ("stats", "clock_units")),
+    "metrics": (
+        regression.METRICS_BASELINE_SCHEMA, "metrics_asia_osm.json",
+        {"kind": "leiden", "target": GRAPH, "seed": 42},
+        ("families", "leiden_passes_total", "series", 0, "value")),
+    "svc-metrics": (
+        regression.METRICS_BASELINE_SCHEMA, "metrics_service_tiny.json",
+        {"kind": "service", "target": "tiny", "seed": 0},
+        ("meta", "clock_units")),
+    "reorder": (regression.REORDER_BASELINE_SCHEMA, "reorder_asia_osm.json",
+                {"graphs": [GRAPH], "seed": 42, "scramble_seed": 7,
+                 "mode": "community"},
+                (GRAPH, "layout_communities")),
+    "fleet": (regression.FLEET_BASELINE_SCHEMA, "fleet_tiny.json",
+              {"profile": "tiny", "seed": 0},
+              ("runs", "shards_1", "stats", "clock_units")),
+    "reqtrace": (regression.REQTRACE_BASELINE_SCHEMA, "reqtrace_tiny.json",
+                 {"profile": "tiny", "seed": 0},
+                 ("widths", "shards_1", "requests")),
+    "memory": (regression.MEMORY_BASELINE_SCHEMA, "memory_quick.json",
+               {"graph": GRAPH, "seed": 42}, ("logical", "peak_bytes")),
+}
+
+
+def _kind_id(schema):
+    return BASELINE_KINDS[schema].label
+
+
+@pytest.fixture(scope="module", params=sorted(CHEAP_CASES))
+def recorded_case(request, tmp_path_factory):
+    """One cheap exact baseline, recorded once per module."""
+    schema, file_name, params, leaf = CHEAP_CASES[request.param]
+    directory = tmp_path_factory.mktemp(request.param)
+    baseline = record(directory, schema, file_name, params)
+    return directory / file_name, baseline, leaf
+
+
+class TestExactBaselines:
+    """The exact-match gate, once per registry schema."""
+
+    def test_cases_cover_registry(self):
+        assert sorted({c[0] for c in CHEAP_CASES.values()}) == \
+            sorted(EXACT_SCHEMAS)
+
+    @pytest.mark.parametrize("schema", EXACT_SCHEMAS, ids=_kind_id)
+    def test_save_load_roundtrip(self, schema, tmp_path):
+        params = BASELINE_KINDS[schema].specs[0][1]
+        b = ExactBaseline(schema, "x", params, {"stats": {"clock_units": 1}})
+        path = tmp_path / "x.json"
         b.save(path)
-        loaded = regression.ServiceBaseline.load(path)
-        assert loaded == b
-        assert (json.loads(path.read_text())["schema"]
-                == regression.SERVICE_BASELINE_SCHEMA)
+        assert ExactBaseline.load(path) == b
+        doc = json.loads(path.read_text())
+        assert doc["schema"] == schema
+        assert {k: doc[k] for k in params} == params
 
-    def test_rejects_unknown_schema(self, tmp_path):
+    @pytest.mark.parametrize("schema", EXACT_SCHEMAS, ids=_kind_id)
+    def test_rejects_unknown_schema(self, schema, tmp_path):
+        params = BASELINE_KINDS[schema].specs[0][1]
+        doc = ExactBaseline(schema, "x", params, {}).to_dict()
+        doc["schema"] = schema.replace("/1", "/9")
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "repro.service-baseline/9",
-                                    "name": "x", "profile": "tiny",
-                                    "seed": 0, "expected": {}}))
+        path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="schema"):
-            regression.ServiceBaseline.load(path)
+            ExactBaseline.load(path)
 
+    @pytest.mark.parametrize("schema", EXACT_SCHEMAS, ids=_kind_id)
+    def test_rejects_missing_param(self, schema):
+        params = dict(BASELINE_KINDS[schema].specs[0][1])
+        params.pop(sorted(params)[0])
+        doc = ExactBaseline(schema, "x", params, {}).to_dict()
+        with pytest.raises(ValueError, match="parameters"):
+            ExactBaseline.from_dict(doc)
+
+    def test_perf_schema_is_not_exact(self):
+        doc = Baseline(name="p", graph=GRAPH, seed=42, num_threads=64,
+                       metrics=_metrics()).to_dict()
+        with pytest.raises(ValueError, match="schema"):
+            ExactBaseline.from_dict(doc)
+
+    def test_record_then_check_passes(self, recorded_case, capsys):
+        path, baseline, _ = recorded_case
+        assert run_check(path.parent) == 0
+        out = capsys.readouterr().out
+        assert f"PASS {baseline.name} (exact match" in out
+        assert "1/1 baselines within thresholds" in out
+
+    def test_drifted_fails(self, recorded_case, tmp_path, capsys):
+        path, baseline, leaf = recorded_case
+        doc = json.loads(path.read_text())
+        node = doc["expected"]
+        for key in leaf[:-1]:
+            node = node[key]
+        node[leaf[-1]] += 1
+        (tmp_path / path.name).write_text(json.dumps(doc))
+        assert run_check(tmp_path) == 1
+        out = capsys.readouterr().out
+        dotted = "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                         for k in leaf).lstrip(".")
+        assert f"FAIL {baseline.name}" in out
+        assert f"[REG] {dotted}: baseline=" in out
+
+    def test_committed_files_match_registry(self, tmp_path):
+        """Without re-measuring: each committed exact file round-trips
+        byte-identically, its params equal the registry spec's, and
+        the registry names exactly the committed directory."""
+        directory = regression.default_baseline_dir()
+        for schema in EXACT_SCHEMAS:
+            for file_name, params in BASELINE_KINDS[schema].specs:
+                committed = directory / file_name
+                loaded = ExactBaseline.load(committed)
+                loaded.save(tmp_path / file_name)
+                assert ((tmp_path / file_name).read_bytes()
+                        == committed.read_bytes()), file_name
+                assert loaded.params == params, file_name
+        assert regression.expected_baseline_names() == sorted(
+            p.name for p in directory.glob("*.json"))
+
+
+class TestServiceBaseline:
     def test_compare_service_docs_diffs(self):
         exp = {"a": 1, "b": {"c": [1, 2]}, "gone": 3}
         act = {"a": 1, "b": {"c": [1, 5]}, "new": 4}
@@ -193,57 +308,26 @@ class TestServiceBaseline:
         assert paths == {"b.c[1]", "gone", "new"}
         assert regression.compare_service_docs(exp, dict(exp)) == []
 
-    def test_record_then_check_passes(self, tmp_path, capsys):
-        regression.record_service_baselines(tmp_path, ["tiny"], seed=0)
-        assert run_check(tmp_path) == 0
-        out = capsys.readouterr().out
-        assert "PASS service_tiny (exact match" in out
-        assert "1/1 baselines within thresholds" in out
-
-    def test_drifted_stats_fail(self, tmp_path, capsys):
-        (recorded,) = regression.record_service_baselines(
-            tmp_path, ["tiny"], seed=0)
-        doc = recorded.to_dict()
-        doc["expected"]["stats"]["clock_units"] += 1
-        (tmp_path / "service_tiny.json").write_text(json.dumps(doc))
-        assert run_check(tmp_path) == 1
-        out = capsys.readouterr().out
-        assert "FAIL service_tiny" in out
-        assert "[REG] stats.clock_units" in out
-
     def test_mixed_dir_dispatches_by_schema(self, tmp_path, capsys):
-        record_baselines(tmp_path, [GRAPH])
-        regression.record_service_baselines(tmp_path, ["tiny"], seed=0)
+        _record_perf(tmp_path)
+        record(tmp_path, *CHEAP_CASES["service"][:3])
         assert run_check(tmp_path) == 0
         assert "2/2 baselines within thresholds" in capsys.readouterr().out
 
 
-class TestReqtraceBaseline:
-    def test_save_load_roundtrip(self, tmp_path):
-        b = regression.ReqtraceBaseline(
-            name="reqtrace_tiny", profile="tiny", seed=0,
-            expected={"kept_match": True, "widths": {}})
-        path = tmp_path / "reqtrace_tiny.json"
-        b.save(path)
-        loaded = regression.ReqtraceBaseline.load(path)
-        assert loaded == b
-        assert (json.loads(path.read_text())["schema"]
-                == regression.REQTRACE_BASELINE_SCHEMA)
-
-    def test_rejects_unknown_schema(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "repro.reqtrace-baseline/9",
-                                    "name": "x", "profile": "tiny",
-                                    "seed": 0, "expected": {}}))
-        with pytest.raises(ValueError, match="schema"):
-            regression.ReqtraceBaseline.load(path)
-
-    def test_record_then_check_passes(self, tmp_path, capsys):
-        regression.record_reqtrace_baselines(tmp_path, ["tiny"], seed=0)
-        assert run_check(tmp_path) == 0
+class TestStrayBaselineFile:
+    def test_unknown_schema_fails_and_rest_are_checked(self, tmp_path,
+                                                       capsys):
+        _record_perf(tmp_path)
+        (tmp_path / "bogus.json").write_text(json.dumps({"schema": "bogus/1"}))
+        assert run_check(tmp_path) == 1
         out = capsys.readouterr().out
-        assert "PASS reqtrace_tiny (exact match" in out
+        assert "FAIL bogus.json: unknown schema 'bogus/1'" in out
+        assert "PASS asia_osm" in out
+        assert "1/2 baselines within thresholds" in out
 
+
+class TestReqtraceBaseline:
     def test_measure_pins_mode_agreement_and_width_invariance(self):
         doc = regression.measure_reqtrace("tiny", seed=0)
         assert doc["kept_match"] is True
@@ -255,41 +339,6 @@ class TestReqtraceBaseline:
 
 
 class TestMemoryBaseline:
-    def test_roundtrip_and_schema(self, tmp_path):
-        baselines = regression.record_memory_baselines(tmp_path, seed=42)
-        assert [b.name for b in baselines] == ["memory_quick"]
-        path = tmp_path / "memory_quick.json"
-        loaded = regression.MemoryBaseline.load(path)
-        assert loaded == baselines[0]
-        assert (json.loads(path.read_text())["schema"]
-                == regression.MEMORY_BASELINE_SCHEMA)
-
-    def test_rejects_unknown_schema(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "repro.memory-baseline/9",
-                                    "name": "x", "graph": GRAPH,
-                                    "seed": 42, "expected": {}}))
-        with pytest.raises(ValueError, match="schema"):
-            regression.MemoryBaseline.load(path)
-
-    def test_record_then_check_passes(self, tmp_path, capsys):
-        regression.record_memory_baselines(tmp_path, seed=42)
-        assert run_check(tmp_path) == 0
-        out = capsys.readouterr().out
-        assert "PASS memory_quick (exact match" in out
-
-    def test_tampered_expectation_fails_with_diff(self, tmp_path, capsys):
-        (baseline,) = regression.record_memory_baselines(tmp_path, seed=42)
-        doc = baseline.to_dict()
-        doc["expected"]["logical"]["peak_bytes"] += 1
-        doc["expected"]["events"][0]["nbytes"] += 1
-        path = tmp_path / "memory_quick.json"
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
-        assert run_check(tmp_path) == 1
-        out = capsys.readouterr().out
-        assert "FAIL memory_quick" in out
-        assert "logical.peak_bytes" in out
-
     def test_measure_is_deterministic_and_validated(self):
         a = regression.measure_memory(GRAPH, seed=42)
         b = regression.measure_memory(GRAPH, seed=42)
@@ -424,7 +473,7 @@ class TestMissingBaselines:
     def test_partial_dir_fails_before_any_rerun(self, tmp_path, capsys):
         # A lone perf baseline: complete enough to re-run, but the gate
         # must refuse before measuring anything.
-        record_baselines(tmp_path, [GRAPH])
+        _record_perf(tmp_path)
         assert run_check(tmp_path, require_complete=True) == 2
         out = capsys.readouterr().out
         assert "MISSING baseline" in out
@@ -433,13 +482,13 @@ class TestMissingBaselines:
         assert "[OK]" not in out  # no baseline was re-measured
 
     def test_partial_dir_passes_without_require_complete(self, tmp_path):
-        record_baselines(tmp_path, [GRAPH])
+        _record_perf(tmp_path)
         assert run_check(tmp_path) == 0
 
     def test_cli_check_is_strict(self, tmp_path, capsys):
         from repro.bench.__main__ import main as bench_main
 
-        record_baselines(tmp_path, [GRAPH])
+        _record_perf(tmp_path)
         assert bench_main(["--check", "--baselines", str(tmp_path)]) == 2
         assert "MISSING baseline" in capsys.readouterr().out
 

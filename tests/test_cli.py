@@ -52,6 +52,20 @@ class TestCli:
                      "--refinement", "random", "--seed", "3"]) == 0
         assert "random, heavy" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("entry", ["1 2 x", "1 2 nan"])
+    def test_run_rejects_bad_mtx_with_one_line_error(self, tmp_path, capsys,
+                                                      entry):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate real general\n"
+                       f"2 2 1\n{entry}\n")
+        assert main(["run", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert "modularity" not in captured.out
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "bad.mtx:3" in lines[0]
+
     def test_missing_file(self):
         with pytest.raises(SystemExit):
             main(["/nonexistent/file.txt"])
