@@ -2,8 +2,9 @@
 
 Times the counting kernel family against the sort family on the batch
 shapes the Leiden phases actually produce (gathered CSR rows of the
-smoke graphs plus synthetic stress shapes), and the bincount scatter
-against ``np.add.at``.  Finishes with end-to-end sort-vs-count wall
+smoke graphs plus synthetic stress shapes), the bincount scatter
+against ``np.add.at``, and ``color_graph`` on each smoke graph and its
+first aggregated graph.  Finishes with end-to-end sort-vs-count wall
 times per smoke graph.  Used to populate ``docs/PERFORMANCE.md`` and as
 the CI kernel-smoke step (``--quick``).
 """
@@ -21,10 +22,12 @@ from repro.core._kernels import (
     segmented_argmax,
     segmented_argmax_sorted,
 )
+from repro.core.aggregate import aggregate_batch
 from repro.core.config import LeidenConfig
 from repro.core.leiden import leiden
 from repro.datasets.registry import load_graph
 from repro.graph.segments import gather_rows
+from repro.parallel.coloring import color_graph
 from repro.parallel.runtime import Runtime
 
 __all__ = ["main"]
@@ -78,12 +81,21 @@ def main(seed: int = 42, repeats: int = 5, quick: bool = False) -> int:
     print("-" * 72)
 
     # -- pair sums on real batch shapes ----------------------------------
+    coloring_inputs = []
     for gname in SMOKE_GRAPHS:
         graph = load_graph(gname)
-        converged = leiden(
+        result = leiden(
             graph, LeidenConfig(seed=seed),
             runtime=Runtime(num_threads=1, seed=seed),
-        ).membership
+        )
+        converged = result.membership
+        levels = result.dendrogram
+        coloring_inputs += [
+            (f"{gname} input", graph),
+            (f"{gname} pass-2", aggregate_batch(
+                graph, levels.level(0), levels.num_communities(0),
+                runtime=Runtime(num_threads=1, seed=seed))),
+        ]
         for label, member in (("first-iter", None), ("converged", converged)):
             seg, comm, w, nseg, n = _batch_workload(
                 graph, 4096, rng, membership=member
@@ -143,6 +155,15 @@ def main(seed: int = 42, repeats: int = 5, quick: bool = False) -> int:
     at_s = _best_of(lambda: np.add.at(target, idx, w), repeats)
     bc_s = _best_of(lambda: scatter_add(target, idx, w, scratch), repeats)
     _print_row("scatter np.add.at vs bincount", sz, at_s, bc_s)
+
+    # -- coloring: input graph and first aggregated graph ----------------
+    print("-" * 72)
+    print(f"{'workload':34s} | {'elems':>9s} | {'color':>8s} | colors")
+    for label, graph in coloring_inputs:
+        colors = color_graph(graph, seed=seed)
+        color_s = _best_of(lambda g=graph: color_graph(g, seed=seed), repeats)
+        print(f"{'color_graph ' + label:34s} | {int(graph.degrees.sum()):>9,} | "
+              f"{color_s * 1e3:8.2f} | {int(colors.max()) + 1}")
 
     # -- end to end ------------------------------------------------------
     print("-" * 72)

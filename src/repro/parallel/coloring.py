@@ -1,4 +1,4 @@
-"""Parallel greedy graph coloring (Jones-Plassmann style).
+"""Parallel greedy graph coloring (Jones-Plassmann priorities).
 
 The batch-parallel local-moving kernel processes vertices in batches that
 share one snapshot of the memberships.  If two *adjacent* vertices decide
@@ -8,13 +8,20 @@ proper coloring (a technique the paper cites from Grappolo [11]) removes
 the problem: within a color class no two vertices are adjacent, so batch
 decisions are exactly as independent as the asynchronous algorithm's.
 
-The coloring itself is the standard parallel maximal-independent-set
-iteration with random priorities: in each round, every uncolored vertex
-that is a local priority maximum among its uncolored neighbors takes the
-round's color.  Rounds only touch the *active* (still uncolored) vertex
-set: their CSR rows are gathered and reduced per row with one
-``maximum.reduceat`` — so per-round work shrinks with the frontier
-instead of re-scanning every edge with a ``np.maximum.at`` scatter.
+The colors are those of the standard Jones-Plassmann iteration with random
+priorities: in round ``c``, every uncolored vertex whose priority beats
+all of its uncolored neighbors' takes color ``c``.  A vertex therefore
+wins the first round after its last higher-priority neighbor is colored,
+and never earlier, so its color is ``1 +`` the largest color among its
+higher-priority neighbors (``0`` if it has none).  That is its level — the
+length of the longest path reaching it — in the DAG that points every
+non-self edge from higher to lower priority.
+
+So the colors are computed by one topological peel of that DAG instead
+of rounds that rescan the live edges: each level decrements the in-edge
+counts of the frontier's out-edges only, and the touched vertices whose
+count reaches zero form the next level.  A call costs O(E + n), and the
+colors are bitwise those of the round-by-round iteration.
 """
 
 from __future__ import annotations
@@ -35,54 +42,47 @@ def color_graph(
 ) -> np.ndarray:
     """Proper vertex coloring; returns a color id per vertex.
 
-    Colors are dense ``0..k-1``.  If ``max_rounds`` is hit (pathological
-    inputs), all remaining vertices are given mutually distinct fresh
-    colors, preserving properness.
+    Colors are dense ``0..k-1``.  Vertices whose level reaches
+    ``max_rounds`` (pathological inputs) are instead given mutually
+    distinct fresh colors in ascending id order, preserving properness.
     """
     n = graph.num_vertices
     colors = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return colors
-    # Flat (owner, neighbor) edge arrays from the symmetric CSR, self
-    # loops dropped.  An edge only matters while *both* endpoints are
-    # uncolored, so the arrays are compacted in place every round — the
-    # filtering preserves the by-owner grouping, letting the per-owner
-    # maximum stay a single ``reduceat``.  Per-round cost tracks the
-    # shrinking frontier's live edges, not the whole graph.
-    seg, idx = ragged_indices(graph.offsets[:-1], graph.degrees)
-    owner = seg
-    nbr = graph.targets[idx].astype(np.int64)
-    notself = owner != nbr
-    owner, nbr = owner[notself], nbr[notself]
-
     rng = np.random.default_rng(seed)
     priority = rng.permutation(n)
-    uncolored = np.ones(n, dtype=bool)
-    active = np.arange(n, dtype=np.int64)
+    # Row entries (owner u, neighbor v) with priority[u] > priority[v] are
+    # the DAG's edges u -> v; the filter also drops self loops and keeps
+    # them grouped by owner, so each owner's out-edges stay one slice.
+    # Rows go through ``offsets[:-1]``/``degrees`` for holey CSRs.
+    owner, idx = ragged_indices(graph.offsets[:-1], graph.degrees)
+    nbr = graph.targets[idx]
+    down = priority[owner] > priority[nbr]
+    head = nbr[down]
+    out_deg = np.bincount(owner[down], minlength=n)
+    out_start = np.zeros(n, dtype=np.int64)
+    np.cumsum(out_deg[:-1], out=out_start[1:])
+    pending = np.bincount(head, minlength=n)
+    frontier = np.flatnonzero(pending == 0)
+    slot = np.empty(n, dtype=np.int64)
     color = 0
-    while active.shape[0] > 0:
+    while frontier.shape[0] > 0:
         if color >= max_rounds:
-            colors[active] = color + np.arange(active.shape[0])
+            rest = np.flatnonzero(colors < 0)
+            colors[rest] = color + np.arange(rest.shape[0])
             break
-        # Max uncolored-neighbor priority per uncolored vertex.  Owners
-        # with no live edges left keep best == -1 and win immediately
-        # (isolated vertices never enter the edge arrays at all).
-        best = np.full(n, -1, dtype=np.int64)
-        if owner.shape[0] > 0:
-            boundary = np.empty(owner.shape[0], dtype=bool)
-            boundary[0] = True
-            np.not_equal(owner[1:], owner[:-1], out=boundary[1:])
-            starts = np.flatnonzero(boundary)
-            best[owner[starts]] = np.maximum.reduceat(priority[nbr], starts)
-        winners = priority[active] > best[active]
-        won = active[winners]
-        colors[won] = color
-        uncolored[won] = False
-        active = active[~winners]
+        colors[frontier] = color
         color += 1
-        if won.shape[0] > 0 and owner.shape[0] > 0:
-            live = uncolored[owner] & uncolored[nbr]
-            owner, nbr = owner[live], nbr[live]
+        _, hit = ragged_indices(out_start[frontier], out_deg[frontier])
+        touched = head[hit]
+        np.subtract.at(pending, touched, 1)
+        # A vertex is ready once per frontier parent; keep the occurrence
+        # whose position its slot ends up holding (whichever write lands).
+        ready = touched[pending[touched] == 0]
+        pos = np.arange(ready.shape[0])
+        slot[ready] = pos
+        frontier = ready[slot[ready] == pos]
     return colors
 
 

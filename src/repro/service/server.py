@@ -143,6 +143,19 @@ def percentile(values: List[int], q: float) -> int:
     return int(exact_percentile(values, q))
 
 
+def _out_of_range(req: QueryRequest, n: int, k: int) -> tuple | None:
+    """``(field, value, bound)`` when ``req`` names no vertex in
+    ``[0, n)`` or community in ``[0, k)`` of its partition, else None."""
+    if req.query == "membership":
+        return None
+    name, bound = (("community", k) if req.query == "members"
+                   else ("vertex", n))
+    value = getattr(req, name)
+    if isinstance(value, (int, np.integer)) and 0 <= value < bound:
+        return None
+    return name, value, bound
+
+
 class _ComputeFailed(ServiceError):
     """Internal: a solve exhausted its retry budget."""
 
@@ -522,6 +535,24 @@ class PartitionServer:
             self._complete(ticket, NOT_FOUND)
             return
         index = entry.index
+        bad = _out_of_range(req, entry.graph.num_vertices,
+                            index.num_communities)
+        if bad is not None:
+            # Both counters are created on the first rejection only, so
+            # snapshots of runs without one keep their bytes.
+            name, value, bound = bad
+            self.counters["queries_rejected"] = (
+                self.counters.get("queries_rejected", 0) + 1)
+            self.metrics.counter(
+                "validation_rejected_total", "requests refused at a boundary",
+                ("boundary", "reason"),
+            ).labels("query", f"{name}_out_of_range").inc()
+            ticket.response = {
+                "key": req.key,
+                "error": f"{name} {value!r} outside [0, {bound})",
+            }
+            self._complete(ticket, FAILED)
+            return
         if req.query == "community_of":
             value = index.community_of(req.vertex)
         elif req.query == "members":

@@ -2,8 +2,10 @@
 
 import numpy as np
 
+from repro.core.aggregate import aggregate_batch
 from repro.graph.builder import build_csr_from_edges
 from repro.parallel.coloring import color_classes, color_graph, verify_coloring
+from repro.parallel.runtime import Runtime
 from tests.conftest import random_graph
 
 
@@ -64,7 +66,7 @@ class TestColoring:
 def _color_graph_reference(graph, seed=0, max_rounds=256):
     """The original edge-scatter formulation (one ``np.maximum.at`` per
     round over every edge) — kept as the oracle for the production
-    frontier-compacting implementation, which must match it exactly."""
+    priority-DAG peel, which must match it exactly."""
     n = graph.num_vertices
     colors = np.full(n, -1, dtype=np.int64)
     if n == 0:
@@ -114,6 +116,50 @@ class TestReferenceEquivalence:
             color_graph(g, seed=3, max_rounds=2),
             _color_graph_reference(g, seed=3, max_rounds=2),
         )
+
+    def test_holey_aggregated_csr_exact_match(self):
+        g = random_graph(n=300, avg_degree=8, seed=4)
+        membership = np.arange(300) % 70
+        sup = aggregate_batch(g, membership, 70, runtime=Runtime())
+        assert sup.is_holey
+        assert sup.targets.shape[0] > int(sup.degrees.sum())
+        for cseed in (0, 5):
+            colors = color_graph(sup, seed=cseed)
+            assert np.array_equal(
+                colors, _color_graph_reference(sup, seed=cseed))
+            assert verify_coloring(sup, colors)
+
+    def test_clique_past_default_max_rounds_exact_match(self):
+        # 300 colors at the default max_rounds=256: the last 44 vertices
+        # take the fallback's fresh colors.
+        n = 300
+        src, dst = np.triu_indices(n, k=1)
+        g = build_csr_from_edges(src, dst)
+        colors = color_graph(g, seed=2)
+        assert np.array_equal(colors, _color_graph_reference(g, seed=2))
+        assert np.array_equal(np.sort(colors), np.arange(n))
+
+    def test_multi_edges_exact_match(self):
+        rng = np.random.default_rng(8)
+        src = rng.integers(0, 30, 200)
+        dst = rng.integers(0, 30, 200)
+        g = build_csr_from_edges(src, dst, coalesce=None)
+        assert g.num_edges > build_csr_from_edges(src, dst).num_edges
+        for cseed in (0, 1, 9):
+            assert np.array_equal(
+                color_graph(g, seed=cseed),
+                _color_graph_reference(g, seed=cseed),
+            )
+
+    def test_isolated_vertices_with_edges_exact_match(self):
+        # Vertices 0, 3, 7, 8 and 11 have no edges.
+        g = build_csr_from_edges([1, 2, 4, 4, 5, 9], [2, 4, 5, 6, 6, 10],
+                                 num_vertices=12)
+        for cseed in range(4):
+            colors = color_graph(g, seed=cseed)
+            assert np.array_equal(
+                colors, _color_graph_reference(g, seed=cseed))
+            assert (colors[[0, 3, 7, 8, 11]] == 0).all()
 
 
 class TestColorClasses:

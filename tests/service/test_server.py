@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import LeidenConfig
 from repro.core.leiden import leiden
+from repro.datasets.registry import graph_spec
 from repro.dynamic.batch import EdgeBatch, apply_batch, random_batch
 from repro.errors import ServiceError, ServiceOverloadError
 from repro.observability.tracer import Tracer
@@ -98,6 +99,61 @@ class TestQuery:
         assert srv.counters["detect_runs"] == runs
         assert (srv.counters["incremental_refreshes"]
                 + srv.counters["full_recomputes"]) == 0
+
+
+class TestQueryBounds:
+    """Out-of-range vertices and communities fail their own ticket and
+    leave the loop serving; asia_osm has n = 12,000 vertices."""
+
+    @pytest.fixture(scope="class")
+    def served(self):
+        srv = make_server()
+        g = graph_spec("asia_osm").generator(0)
+        key = srv.detect(g).response["key"]
+        k = srv.store.peek(key).index.num_communities
+        return srv, key, g.num_vertices, k
+
+    def _drain_one(self, srv, request):
+        ticket = srv.submit(request)
+        srv.drain()
+        return ticket
+
+    @pytest.mark.parametrize("query,field,bad", [
+        ("community_of", "vertex", 12005),
+        ("community_of", "vertex", 12000),
+        ("community_of", "vertex", -1),
+        ("neighbor_communities", "vertex", 12005),
+        ("neighbor_communities", "vertex", -1),
+        ("members", "community", -1),
+    ])
+    def test_out_of_range_fails_and_loop_keeps_running(
+            self, served, query, field, bad):
+        srv, key, n, _k = served
+        assert n == 12000
+        failed = self._drain_one(srv, QueryRequest(key, query, **{field: bad}))
+        assert failed.status == "failed"
+        assert "error" in failed.response
+        assert "value" not in failed.response
+        ok = self._drain_one(srv, QueryRequest(key, vertex=n - 1))
+        assert ok.status == "done"
+        assert ok.response["value"] == int(
+            srv.store.peek(key).membership[n - 1])
+
+    def test_members_past_last_community_fails(self, served):
+        srv, key, _n, k = served
+        assert srv.query(key, "members", community=k - 1).status == "done"
+        assert srv.query(key, "members", community=k).status == "failed"
+
+    def test_rejection_counter_appears_on_first_rejection(self):
+        srv = make_server()
+        key = srv.detect(two_cliques_graph()).response["key"]
+        srv.query(key, vertex=3)
+        assert "queries_rejected" not in srv.stats()["counters"]
+        served = srv.counters["queries_served"]
+        assert srv.query(key, vertex=10).status == "failed"
+        assert srv.query(key, vertex=-1).status == "failed"
+        assert srv.stats()["counters"]["queries_rejected"] == 2
+        assert srv.counters["queries_served"] == served
 
 
 class TestUpdate:

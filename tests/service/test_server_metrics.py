@@ -37,6 +37,21 @@ class TestServerInstruments:
         assert req.value("query", "done") == 1.0
         assert req.value("query", "not_found") == 1.0
 
+    def test_out_of_range_query_counted_as_rejected(self):
+        reg = MetricsRegistry()
+        srv = make_server(metrics=reg)
+        key = srv.detect(two_cliques_graph()).response["key"]
+        srv.query(key, "community_of", vertex=0)
+        assert reg.get("validation_rejected_total") is None
+        srv.query(key, "community_of", vertex=10)
+        srv.query(key, "members", community=-1)
+        rejected = reg.get("validation_rejected_total")
+        assert rejected.value("query", "vertex_out_of_range") == 1.0
+        assert rejected.value("query", "community_out_of_range") == 1.0
+        req = reg.get("service_requests_total")
+        assert req.value("query", "failed") == 2.0
+        assert req.value("query", "done") == 1.0
+
     def test_latency_histogram_per_kind(self):
         reg = MetricsRegistry()
         srv = make_server(metrics=reg)
